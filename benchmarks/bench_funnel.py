@@ -238,7 +238,8 @@ def test_ranked_delivery_columnar_vs_boxed(report, burst_delivery_feed):
     The ranked configuration inserts a ``TopKPerUserBuffer`` between
     detection and the funnel; before this ablation's tentpole the buffer
     walked recipients per group in Python.  Both paths here share the
-    identical vectorized flush and the identical downstream funnel — the
+    identical vectorized flush and the identical downstream funnel (the
+    flush's columnar release goes straight to ``offer_batch``) — the
     ablated region is *offering*: (a) boxed — iterate the batch (boxing
     every raw candidate) and ``offer`` each into the buffer; (b) columnar
     — ``offer_batch`` buffers each group's recipient column by reference.
@@ -255,7 +256,7 @@ def test_ranked_delivery_columnar_vs_boxed(report, burst_delivery_feed):
         for now, batch in feed:
             for rec in batch:  # boxes every raw candidate
                 buffer.offer(rec)
-            pipeline.offer_all(buffer.flush(now), now)
+            pipeline.offer_batch(buffer.flush(now), now)
         return time.perf_counter() - started, pipeline
 
     def run_columnar():
@@ -264,7 +265,7 @@ def test_ranked_delivery_columnar_vs_boxed(report, burst_delivery_feed):
         started = time.perf_counter()
         for now, batch in feed:
             buffer.offer_batch(batch)  # recipient columns by reference
-            pipeline.offer_all(buffer.flush(now), now)
+            pipeline.offer_batch(buffer.flush(now), now)
         return time.perf_counter() - started, pipeline
 
     best, funnels = interleaved_best_of(

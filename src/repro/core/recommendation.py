@@ -371,39 +371,46 @@ class RecommendationBatch:
             self._offsets = offsets
         return offsets
 
-    def columns(self) -> CandidateColumns:
-        """The flattened (recipients, candidates) columns (cached).
+    def expand(self, *fields: str) -> tuple[np.ndarray, ...]:
+        """Flat per-candidate columns: recipients, then each named field.
 
-        ``candidates`` repeats each group's shared candidate across its
-        recipients so both columns align per raw candidate.
+        *fields* name shared group metadata (``"candidate"``,
+        ``"num_witnesses"``, ``"created_at"``); each is repeated across
+        its group's recipients, so every column aligns per raw candidate
+        in iteration order.  The one group -> columns expansion behind
+        :meth:`columns`, the ranking buffer and the serving-cache ingest.
+
+        >>> batch = RecommendationBatch([
+        ...     RecommendationGroup([1, 2], candidate=9, created_at=5.0, via=(7,)),
+        ...     RecommendationGroup([3], candidate=8, created_at=6.0),
+        ... ])
+        >>> [column.tolist() for column in batch.expand("candidate", "num_witnesses")]
+        [[1, 2, 3], [9, 9, 8], [1, 1, 0]]
         """
+        groups = self.groups
+        if not groups:
+            return (_EMPTY_INT64,) + tuple(
+                np.empty(0, _GROUP_FIELD_DTYPES[name]) for name in fields
+            )
+        sizes = [len(group) for group in groups]
+        recipients = np.concatenate([group.recipients for group in groups])
+        return (recipients,) + tuple(
+            np.repeat(
+                np.fromiter(
+                    (getattr(group, name) for group in groups),
+                    _GROUP_FIELD_DTYPES[name],
+                    len(groups),
+                ),
+                sizes,
+            )
+            for name in fields
+        )
+
+    def columns(self) -> CandidateColumns:
+        """The flattened (recipients, candidates) columns (cached)."""
         columns = self._columns
         if columns is None:
-            groups = self.groups
-            if not groups:
-                columns = CandidateColumns(_EMPTY_INT64, _EMPTY_INT64, [], [])
-            elif len(groups) == 1:
-                group = groups[0]
-                n = len(group)
-                columns = CandidateColumns(
-                    group.recipients,
-                    np.full(n, group.candidate, dtype=np.int64),
-                    group.recipients_list(),
-                    [group.candidate] * n,
-                )
-            else:
-                recipients = np.concatenate([g.recipients for g in groups])
-                sizes = [len(g) for g in groups]
-                candidates = np.repeat(
-                    np.fromiter(
-                        (g.candidate for g in groups),
-                        dtype=np.int64,
-                        count=len(groups),
-                    ),
-                    sizes,
-                )
-                columns = CandidateColumns(recipients, candidates)
-            self._columns = columns
+            columns = self._columns = CandidateColumns(*self.expand("candidate"))
         return columns
 
     def select(self, indices: np.ndarray) -> list[Recommendation]:
@@ -431,3 +438,11 @@ class RecommendationBatch:
 EMPTY_RECOMMENDATION_BATCH = RecommendationBatch()
 
 _EMPTY_INT64 = np.empty(0, dtype=np.int64)
+
+#: Column dtypes of the shared group metadata :meth:`RecommendationBatch
+#: .expand` can repeat per recipient.
+_GROUP_FIELD_DTYPES = {
+    "candidate": np.int64,
+    "num_witnesses": np.int64,
+    "created_at": np.float64,
+}

@@ -19,7 +19,7 @@ the paper's millions materialize, the billions never do.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from repro.delivery.fatigue import FatigueFilter
 from repro.delivery.notifier import PushNotification, PushNotifier
 from repro.delivery.waking import WakingHoursFilter
 from repro.sim.metrics import FunnelCounter
+
+if TYPE_CHECKING:
+    from repro.delivery.scoring import RankedRelease
 
 
 @runtime_checkable
@@ -137,9 +140,13 @@ class DeliveryPipeline:
         return delivered
 
     def offer_batch(
-        self, batch: RecommendationBatch, now: float
+        self, batch: RecommendationBatch | RankedRelease, now: float
     ) -> list[PushNotification]:
         """Run a columnar candidate batch through the funnel, stage by stage.
+
+        *batch* is a detection :class:`RecommendationBatch` or a ranked
+        flush's :class:`~repro.delivery.scoring.RankedRelease`; both expose
+        ``columns()`` and box survivors with ``select``.
 
         Exactly equivalent to offering each of the batch's candidates
         through :meth:`offer` in order — same survivors, same delivery

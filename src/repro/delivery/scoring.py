@@ -12,16 +12,18 @@ diamond candidate combines:
 short window and releases only each user's top-k, which is how a ranked
 delivery stage slots between detection and the fatigue filter.
 
-The buffer is *columnar*: offers accumulate as flat numpy columns
-(recipient, candidate, witnesses, created_at) — one appended chunk per
-:class:`~repro.core.recommendation.RecommendationGroup` on the batched
-path, so a viral trigger's whole audience lands as one array reference —
-and :meth:`~TopKPerUserBuffer.flush` computes every user's top-k with a
+The buffer is *columnar*: offers accumulate as
+:class:`~repro.core.recommendation.RecommendationGroup` references — a
+viral trigger's whole audience lands as one array — and
+:meth:`~TopKPerUserBuffer.flush` computes every user's top-k with a
 handful of vectorized passes (lexsort over recipient-grouped segments,
 with a per-segment argpartition pre-cut once the buffer outgrows
-:data:`PRECUT_THRESHOLD`), boxing only the flushed winners.  Semantics are identical to the
-per-candidate reference path (``tests/test_delivery_scoring.py`` enforces
-winners, tie-breaking, and flush order with Hypothesis).
+:data:`PRECUT_THRESHOLD`).  The winners leave as a :class:`RankedRelease`:
+columns in release order that the funnel and the serving cache consume
+directly, so only the funnel's survivors are ever boxed.  Semantics are
+identical to the per-candidate reference path
+(``tests/test_delivery_scoring.py`` enforces winners, tie-breaking, and
+flush order with Hypothesis).
 
 >>> from repro.core.recommendation import RecommendationBatch, RecommendationGroup
 >>> buffer = TopKPerUserBuffer(k=1)
@@ -35,18 +37,17 @@ winners, tie-breaking, and flush order with Hypothesis).
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.core.recommendation import (
+    CandidateColumns,
     Recommendation,
     RecommendationBatch,
     RecommendationGroup,
 )
 from repro.util.validation import require_positive
-
-#: A buffered run of individually-offered (already boxed) candidates, or
-#: one columnar detection group — the two chunk shapes the buffer holds.
-_Chunk = RecommendationGroup | list
 
 #: Buffers below this many deduped rows flush with the pure ranking
 #: lexsort; at or above it each recipient segment is first cut down to
@@ -96,6 +97,115 @@ def witness_score(
     )
 
 
+class RankedRelease:
+    """One top-k flush's winners, columnar, in release order.
+
+    Aligned ``recipients``, ``candidates``, ``scores``, ``witnesses`` and
+    ``created_at`` columns, one row per winner, plus the index of each
+    winner's source group, whose shared metadata (motif, action, witness
+    tuple) boxing needs.  ``scores`` were computed at ``now`` with
+    ``half_life``.
+
+    It speaks the funnel's batch protocol — ``len``, :meth:`columns`,
+    :meth:`select`, iteration, and a lazy :attr:`groups` list for the
+    delivery shard split and the wire — so a flush feeds
+    ``offer_batch`` and the serving cache without boxing anything the
+    funnel drops.
+    """
+
+    def __init__(
+        self,
+        sources: list[RecommendationGroup],
+        source_ids: np.ndarray,
+        columns: tuple[np.ndarray, ...],
+        now: float,
+        half_life: float,
+    ) -> None:
+        (
+            self.recipients,
+            self.candidates,
+            self.scores,
+            self.witnesses,
+            self.created_at,
+        ) = columns
+        self.now = now
+        self.half_life = half_life
+        self._sources = sources
+        self._source_ids = source_ids
+        self._groups: list[RecommendationGroup] | None = None
+
+    def __len__(self) -> int:
+        return len(self.recipients)
+
+    def columns(self) -> CandidateColumns:
+        """The (recipients, candidates) funnel columns."""
+        return CandidateColumns(self.recipients, self.candidates)
+
+    def scores_at(self, now: float, half_life: float) -> np.ndarray:
+        """The winners' scores as of *now* under *half_life* (the flush's
+        own column when both match)."""
+        if now == self.now and half_life == self.half_life:
+            return self.scores
+        return decayed_scores(self.witnesses, self.created_at, now, half_life)
+
+    def select(self, indices: np.ndarray) -> list[Recommendation]:
+        """Box only the winners at the ascending release *indices*."""
+        sources = self._sources
+        out: list[Recommendation] = []
+        for recipient, source in zip(
+            self.recipients[indices].tolist(),
+            self._source_ids[indices].tolist(),
+        ):
+            group = sources[source]
+            out.append(
+                Recommendation(
+                    recipient=recipient,
+                    candidate=group.candidate,
+                    created_at=group.created_at,
+                    motif=group.motif,
+                    action=group.action,
+                    via=group.via,
+                )
+            )
+        return out
+
+    def to_recommendations(self) -> list[Recommendation]:
+        """Every winner boxed, in release order."""
+        return self.select(np.arange(len(self)))
+
+    def __iter__(self) -> Iterator[Recommendation]:
+        return iter(self.to_recommendations())
+
+    def __getitem__(self, i: int) -> Recommendation:
+        return self.select(np.arange(len(self))[[i]])[0]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (RankedRelease, RecommendationBatch, list, tuple)):
+            return self.to_recommendations() == list(other)
+        return NotImplemented
+
+    @property
+    def groups(self) -> list[RecommendationGroup]:
+        """The release as detection groups, in release order (cached).
+
+        Consecutive winners from one source group share its metadata, so
+        each such run becomes one group over its recipient slice.
+        """
+        groups = self._groups
+        if groups is None:
+            ids = self._source_ids
+            starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]]) if len(ids) else ids
+            stops = np.r_[starts[1:], len(ids)]
+            sources = self._sources
+            groups = self._groups = [
+                sources[source].with_recipients(self.recipients[start:stop])
+                for source, start, stop in zip(
+                    ids[starts].tolist(), starts.tolist(), stops.tolist()
+                )
+            ]
+        return groups
+
+
 class TopKPerUserBuffer:
     """Batch candidates per recipient; flush releases each user's best k.
 
@@ -104,9 +214,10 @@ class TopKPerUserBuffer:
     replace only on *strictly more* witnesses), so a re-firing motif does
     not crowd out distinct candidates.
 
-    Offers are O(1) appends — a whole detection group lands as one chunk,
-    a scalar offer as one list append — and all selection work happens in
-    :meth:`flush`, vectorized over the accumulated columns.
+    Offers are O(1) appends — a whole detection group lands as one
+    reference, a scalar offer as one list append (re-columned into groups
+    before the next group or the flush) — and all selection work happens
+    in :meth:`flush`, vectorized over the accumulated columns.
     """
 
     def __init__(
@@ -127,8 +238,10 @@ class TopKPerUserBuffer:
         self.k = k
         self.half_life = half_life
         self.precut_threshold = precut_threshold
-        #: Offer-ordered chunks: RecommendationGroup | list[Recommendation].
-        self._chunks: list[_Chunk] = []
+        #: Offered groups, in offer order.
+        self._groups: list[RecommendationGroup] = []
+        #: Scalar offers not yet re-columned into ``_groups``.
+        self._boxed: list[Recommendation] = []
         self._buffered = 0
         self.offered = 0
 
@@ -136,86 +249,41 @@ class TopKPerUserBuffer:
         """Add one raw (boxed) candidate to the buffer."""
         self.offered += 1
         self._buffered += 1
-        chunks = self._chunks
-        if chunks and type(chunks[-1]) is list:
-            chunks[-1].append(rec)
-        else:
-            chunks.append([rec])
+        self._boxed.append(rec)
 
     def offer_batch(self, batch: RecommendationBatch) -> None:
         """Offer every candidate of a columnar batch, in order.
 
         Equivalent to per-candidate :meth:`offer` calls, but nothing is
-        boxed: each group's recipient column is buffered by reference and
-        its shared metadata (candidate, witnesses, creation time) expands
-        to columns only at :meth:`flush`.
+        boxed: each group is buffered by reference and its shared
+        metadata expands to columns only at :meth:`flush`.
         """
-        chunks = self._chunks
-        for group in batch.groups:
-            size = len(group)
-            self.offered += size
-            self._buffered += size
-            if size:
-                chunks.append(group)
+        size = len(batch)
+        self.offered += size
+        self._buffered += size
+        self._seal()
+        self._groups.extend(batch.groups)
 
-    def _gather(self) -> tuple[np.ndarray, ...]:
-        """Concatenate the buffered chunks into flat aligned columns.
+    def _seal(self) -> None:
+        """Re-column the pending scalar offers, keeping offer order."""
+        if self._boxed:
+            self._groups.extend(
+                RecommendationBatch.from_recommendations(self._boxed).groups
+            )
+            self._boxed = []
 
-        Returns ``(recipients, candidates, witnesses, created_at,
-        chunk_starts)`` where ``chunk_starts[i]`` is chunk *i*'s offset in
-        the flat order (for mapping winners back to their source chunk).
-        """
-        recipient_parts: list[np.ndarray] = []
-        candidate_parts: list[np.ndarray] = []
-        witness_parts: list[np.ndarray] = []
-        created_parts: list[np.ndarray] = []
-        starts = np.empty(len(self._chunks), dtype=np.int64)
-        offset = 0
-        for i, chunk in enumerate(self._chunks):
-            starts[i] = offset
-            if type(chunk) is list:
-                size = len(chunk)
-                recipient_parts.append(
-                    np.fromiter((r.recipient for r in chunk), np.int64, size)
-                )
-                candidate_parts.append(
-                    np.fromiter((r.candidate for r in chunk), np.int64, size)
-                )
-                witness_parts.append(
-                    np.fromiter((len(r.via) for r in chunk), np.int64, size)
-                )
-                created_parts.append(
-                    np.fromiter((r.created_at for r in chunk), np.float64, size)
-                )
-            else:
-                size = len(chunk)
-                recipient_parts.append(chunk.recipients)
-                candidate_parts.append(np.full(size, chunk.candidate, np.int64))
-                witness_parts.append(
-                    np.full(size, chunk.num_witnesses, np.int64)
-                )
-                created_parts.append(
-                    np.full(size, chunk.created_at, np.float64)
-                )
-            offset += size
-        return (
-            np.concatenate(recipient_parts),
-            np.concatenate(candidate_parts),
-            np.concatenate(witness_parts),
-            np.concatenate(created_parts),
-            starts,
-        )
-
-    def _kept_rows(self) -> tuple[np.ndarray, ...]:
-        """Flat indices surviving the in-buffer (recipient, candidate)
-        dedup, plus their aligned id columns.
+    @staticmethod
+    def _dedup(
+        recipients: np.ndarray, candidates: np.ndarray, witnesses: np.ndarray
+    ) -> np.ndarray:
+        """Flat indices surviving the (recipient, candidate) dedup, sorted
+        by recipient.
 
         The per-candidate rule — replace only on strictly more witnesses —
         keeps, for each pair, the *first* occurrence of its maximum
         witness count; a stable lexsort on (recipient, candidate,
         -witnesses) puts exactly that occurrence first in each pair's run.
         """
-        recipients, candidates, witnesses, created_at, starts = self._gather()
         order = np.lexsort((-witnesses, candidates, recipients))
         sorted_recipients = recipients[order]
         sorted_candidates = candidates[order]
@@ -224,22 +292,14 @@ class TopKPerUserBuffer:
             (sorted_recipients[1:] != sorted_recipients[:-1])
             | (sorted_candidates[1:] != sorted_candidates[:-1]),
         ]
-        kept = order[first_in_pair]
-        return (
-            kept,
-            sorted_recipients[first_in_pair],
-            sorted_candidates[first_in_pair],
-            witnesses[kept],
-            created_at[kept],
-            starts,
-        )
+        return order[first_in_pair]
 
     def _precut(
         self, recipients: np.ndarray, scores: np.ndarray
     ) -> np.ndarray | None:
         """Indices surviving the per-recipient argpartition pre-cut.
 
-        ``recipients`` arrives recipient-sorted (from :meth:`_kept_rows`),
+        ``recipients`` arrives recipient-sorted (from :meth:`_dedup`),
         so each recipient's rows form one contiguous segment.  Segments
         larger than *k* are cut to the rows scoring at least the
         segment's k-th best — *including* every boundary tie, so the
@@ -267,49 +327,60 @@ class TopKPerUserBuffer:
         """Distinct (recipient, candidate) pairs currently buffered."""
         if not self._buffered:
             return 0
-        return len(self._kept_rows()[0])
+        self._seal()
+        columns = RecommendationBatch(self._groups).expand(
+            "candidate", "num_witnesses"
+        )
+        return len(self._dedup(*columns))
 
-    def flush(self, now: float) -> list[Recommendation]:
+    def flush(self, now: float) -> RankedRelease:
         """Release each user's top-k by score; clears the buffers.
 
-        Output is ordered by (recipient, descending score, candidate) so
+        Release order is (recipient, descending score, candidate) so
         downstream filters see each user's best candidate first — the
         fatigue filter then spends the budget on the highest-scoring
-        ones.  Only the winners are boxed; everything below the cut stays
-        columnar and is dropped with the buffers.
+        ones.  Nothing is boxed: the winners leave as columns, and
+        everything below the cut is dropped with the buffers.
         """
-        if not self._buffered:
-            self._chunks.clear()
-            return []
-        kept, kept_recipients, kept_candidates, kept_witnesses, kept_created, starts = (
-            self._kept_rows()
-        )
-        scores = decayed_scores(kept_witnesses, kept_created, now, self.half_life)
-        survivors = self._precut(kept_recipients, scores)
-        if survivors is not None:
-            kept = kept[survivors]
-            kept_recipients = kept_recipients[survivors]
-            kept_candidates = kept_candidates[survivors]
-            scores = scores[survivors]
-        ranking = np.lexsort((kept_candidates, -scores, kept_recipients))
-        ranked_recipients = kept_recipients[ranking]
-        run_first = np.r_[True, ranked_recipients[1:] != ranked_recipients[:-1]]
-        run_starts = np.flatnonzero(run_first)
-        run_ids = np.cumsum(run_first) - 1
-        rank_in_run = np.arange(len(ranking)) - run_starts[run_ids]
-        winners = kept[ranking[rank_in_run < self.k]]
-
-        chunks = self._chunks
-        chunk_ids = np.searchsorted(starts, winners, side="right") - 1
-        starts_list = starts.tolist()
-        released: list[Recommendation] = []
-        for flat, chunk_id in zip(winners.tolist(), chunk_ids.tolist()):
-            chunk = chunks[chunk_id]
-            row = flat - starts_list[chunk_id]
-            if type(chunk) is list:
-                released.append(chunk[row])
-            else:
-                released.append(chunk.recommendation_at(row))
-        self._chunks = []
+        self._seal()
+        batch = RecommendationBatch(self._groups)
+        self._groups = []
         self._buffered = 0
-        return released
+        recipients, candidates, witnesses, created_at = batch.expand(
+            "candidate", "num_witnesses", "created_at"
+        )
+        winners = np.empty(0, dtype=np.int64)
+        scores = np.empty(0, dtype=np.float64)
+        if len(recipients):
+            kept = self._dedup(recipients, candidates, witnesses)
+            kept_scores = decayed_scores(
+                witnesses[kept], created_at[kept], now, self.half_life
+            )
+            survivors = self._precut(recipients[kept], kept_scores)
+            if survivors is not None:
+                kept = kept[survivors]
+                kept_scores = kept_scores[survivors]
+            kept_recipients = recipients[kept]
+            ranking = np.lexsort((candidates[kept], -kept_scores, kept_recipients))
+            ranked_recipients = kept_recipients[ranking]
+            run_first = np.r_[True, ranked_recipients[1:] != ranked_recipients[:-1]]
+            run_starts = np.flatnonzero(run_first)
+            run_ids = np.cumsum(run_first) - 1
+            rank_in_run = np.arange(len(ranking)) - run_starts[run_ids]
+            win = ranking[rank_in_run < self.k]
+            winners = kept[win]
+            scores = kept_scores[win]
+        source_ids = np.searchsorted(batch.offsets(), winners, side="right") - 1
+        return RankedRelease(
+            batch.groups,
+            source_ids,
+            (
+                recipients[winners],
+                candidates[winners],
+                scores,
+                witnesses[winners],
+                created_at[winners],
+            ),
+            now,
+            self.half_life,
+        )

@@ -67,6 +67,7 @@ from repro.core.wire import (
 )
 from repro.delivery.notifier import PushNotification
 from repro.delivery.pipeline import DeliveryPipeline
+from repro.delivery.scoring import RankedRelease
 
 if TYPE_CHECKING:  # runtime imports are lazy: serving.cache imports from
     # repro.delivery, so a module-level import here would be circular
@@ -98,7 +99,7 @@ def _default_pipeline_factory(_shard: int) -> DeliveryPipeline:
 
 
 def split_batch_by_shard(
-    batch: RecommendationBatch, num_shards: int
+    batch: RecommendationBatch | RankedRelease, num_shards: int
 ) -> list[RecommendationBatch]:
     """Partition a columnar batch into per-shard batches by recipient hash.
 
@@ -555,9 +556,12 @@ class ShardedDeliveryPipeline:
         )
 
     def offer_batch(
-        self, batch: RecommendationBatch, now: float
+        self, batch: RecommendationBatch | RankedRelease, now: float
     ) -> list[PushNotification]:
         """Fan a columnar batch out across the shards and gather survivors.
+
+        A ranked flush's :class:`~repro.delivery.scoring.RankedRelease`
+        splits through its lazy ``groups``, like any batch.
 
         Same survivor multiset and summed funnel counts as one unsharded
         ``offer_batch``; delivery order is shard-major.  Under the process

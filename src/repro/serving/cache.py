@@ -74,7 +74,7 @@ from repro.cluster.shm import ShmArena, unlink_segment
 from repro.core.recommendation import Recommendation, RecommendationBatch
 from repro.delivery.notifier import PushNotification
 from repro.delivery.pairtable import Int64KeyTable
-from repro.delivery.scoring import decayed_scores
+from repro.delivery.scoring import RankedRelease, decayed_scores
 from repro.util.hashing import splitmix64, splitmix64_array
 from repro.util.validation import require_positive
 
@@ -273,6 +273,34 @@ class _ServingArenaWriter:
             self._data.close()  # owner: unlinks
             self._data = None
         self.control.close()
+
+
+def _scored_columns(
+    rows: RankedRelease | RecommendationBatch | Iterable[Recommendation],
+    now: float,
+    half_life: float,
+) -> tuple[np.ndarray, ...]:
+    """``update_columns``' (recipients, candidates, scores, created_at,
+    witnesses) for a ranked release, a columnar batch, or boxed rows.
+
+    A release brings the scores its flush computed; batch rows are scored
+    here in one vectorized pass.
+    """
+    if isinstance(rows, RankedRelease):
+        return (
+            rows.recipients,
+            rows.candidates,
+            rows.scores_at(now, half_life),
+            rows.created_at,
+            rows.witnesses,
+        )
+    if not isinstance(rows, RecommendationBatch):
+        rows = RecommendationBatch.from_recommendations(rows)
+    recipients, candidates, witnesses, created_at = rows.expand(
+        "candidate", "num_witnesses", "created_at"
+    )
+    scores = decayed_scores(witnesses, created_at, now, half_life)
+    return recipients, candidates, scores, created_at, witnesses
 
 
 def _assemble_row(
@@ -594,65 +622,14 @@ class ServingCache:
     # ------------------------------------------------------------------
 
     def ingest_released(
-        self, released: Iterable[Recommendation], now: float
+        self, released: RankedRelease | Iterable[Recommendation], now: float
     ) -> None:
         """Merge a ranked flush's released winners, scored as of *now*."""
-        recs = released if isinstance(released, list) else list(released)
-        n = len(recs)
-        if n == 0:
-            return
-        recipients = np.fromiter((r.recipient for r in recs), np.int64, n)
-        candidates = np.fromiter((r.candidate for r in recs), np.int64, n)
-        witnesses = np.fromiter((len(r.via) for r in recs), np.int64, n)
-        created = np.fromiter((r.created_at for r in recs), np.float64, n)
-        self.update_columns(
-            recipients,
-            candidates,
-            decayed_scores(witnesses, created, now, self.half_life),
-            created,
-            witnesses=witnesses,
-            now=now,
-        )
+        self.update_columns(*_scored_columns(released, now, self.half_life), now=now)
 
     def ingest_batch(self, batch: RecommendationBatch, now: float) -> None:
-        """Merge a columnar candidate batch (the unranked tap), unboxed.
-
-        Each group's recipient column is consumed by reference; scores
-        are computed from the group's shared witness count and creation
-        time, so nothing is ever boxed on the way in.
-        """
-        if len(batch) == 0:
-            return
-        recipient_parts: list[np.ndarray] = []
-        candidate_parts: list[np.ndarray] = []
-        score_parts: list[np.ndarray] = []
-        created_parts: list[np.ndarray] = []
-        witness_parts: list[np.ndarray] = []
-        for group in batch.groups:
-            size = len(group)
-            if not size:
-                continue
-            recipient_parts.append(group.recipients)
-            candidate_parts.append(np.full(size, group.candidate, np.int64))
-            score = decayed_scores(
-                np.array([group.num_witnesses], dtype=np.int64),
-                np.array([group.created_at], dtype=np.float64),
-                now,
-                self.half_life,
-            )[0]
-            score_parts.append(np.full(size, score, np.float64))
-            created_parts.append(np.full(size, group.created_at, np.float64))
-            witness_parts.append(np.full(size, group.num_witnesses, np.int64))
-        if not recipient_parts:
-            return
-        self.update_columns(
-            np.concatenate(recipient_parts),
-            np.concatenate(candidate_parts),
-            np.concatenate(score_parts),
-            np.concatenate(created_parts),
-            witnesses=np.concatenate(witness_parts),
-            now=now,
-        )
+        """Merge a columnar candidate batch (the unranked tap), unboxed."""
+        self.update_columns(*_scored_columns(batch, now, self.half_life), now=now)
 
     def ingest_notifications(
         self, notifications: Iterable[PushNotification], now: float
@@ -1142,6 +1119,7 @@ class ShardedServingCache:
         require_positive(num_shards, "num_shards")
         self.num_shards = num_shards
         self.k = k
+        self.half_life = half_life
         self.shards = [
             ServingCache(k=k, half_life=half_life, capacity=capacity, ttl=ttl)
             for _ in range(num_shards)
@@ -1195,36 +1173,14 @@ class ShardedServingCache:
             )
 
     def ingest_released(
-        self, released: Iterable[Recommendation], now: float
+        self, released: RankedRelease | Iterable[Recommendation], now: float
     ) -> None:
         """Split a ranked flush's winners by shard and merge each."""
-        recs = released if isinstance(released, list) else list(released)
-        if not recs:
-            return
-        if self.num_shards == 1:
-            self.shards[0].ingest_released(recs, now)
-            return
-        per_shard: list[list[Recommendation]] = [
-            [] for _ in range(self.num_shards)
-        ]
-        for rec in recs:
-            per_shard[self.shard_of(rec.recipient)].append(rec)
-        for shard, shard_recs in enumerate(per_shard):
-            if shard_recs:
-                self.shards[shard].ingest_released(shard_recs, now)
+        self.update_columns(*_scored_columns(released, now, self.half_life), now=now)
 
     def ingest_batch(self, batch: RecommendationBatch, now: float) -> None:
         """Split a columnar batch by shard and merge each, unboxed."""
-        if self.num_shards == 1:
-            self.shards[0].ingest_batch(batch, now)
-            return
-        from repro.delivery.sharded import split_batch_by_shard
-
-        for shard, shard_batch in enumerate(
-            split_batch_by_shard(batch, self.num_shards)
-        ):
-            if len(shard_batch):
-                self.shards[shard].ingest_batch(shard_batch, now)
+        self.update_columns(*_scored_columns(batch, now, self.half_life), now=now)
 
     def ingest_notifications(
         self, notifications: Iterable[PushNotification], now: float

@@ -17,7 +17,7 @@ vanishing fraction of total latency, matching the paper's claim.
 """
 
 from repro.sim.clock import VirtualClock
-from repro.sim.des import DiscreteEventSimulator, ScheduledEvent
+from repro.sim.des import DiscreteEventSimulator
 from repro.sim.latency import (
     FixedDelay,
     LogNormalDelay,
@@ -30,7 +30,6 @@ from repro.sim.metrics import FunnelCounter, LatencyBreakdown
 __all__ = [
     "VirtualClock",
     "DiscreteEventSimulator",
-    "ScheduledEvent",
     "FixedDelay",
     "LogNormalDelay",
     "MultiHopDelay",

@@ -17,10 +17,10 @@ class VirtualClock:
 
     def advance_to(self, timestamp: float) -> None:
         """Jump to *timestamp*; rejects travel into the past."""
-        require(
-            timestamp >= self._now,
-            f"clock cannot go backwards: {timestamp} < {self._now}",
-        )
+        if timestamp < self._now:
+            raise ValueError(
+                f"clock cannot go backwards: {timestamp} < {self._now}"
+            )
         self._now = timestamp
 
     def advance_by(self, delta: float) -> None:

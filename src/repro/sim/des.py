@@ -10,45 +10,41 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.sim.clock import VirtualClock
-from repro.util.validation import require
-
-
-@dataclass(order=True, frozen=True)
-class ScheduledEvent:
-    """One pending callback in the event heap."""
-
-    time: float
-    sequence: int
-    action: Callable[[], None] = field(compare=False)
 
 
 class DiscreteEventSimulator:
-    """Event-heap simulation over virtual time."""
+    """Event-heap simulation over virtual time.
+
+    The heap holds plain ``(time, sequence, action)`` tuples: the unique
+    sequence number breaks time ties FIFO, so tuple comparison never
+    reaches the action and runs entirely in C.
+    """
 
     def __init__(self, clock: VirtualClock | None = None) -> None:
         self.clock = clock or VirtualClock()
-        self._heap: list[ScheduledEvent] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = itertools.count()
         self.events_executed = 0
 
     def schedule_at(self, timestamp: float, action: Callable[[], None]) -> None:
         """Run *action* at absolute virtual time *timestamp*."""
-        require(
-            timestamp >= self.clock.now(),
-            f"cannot schedule in the past: {timestamp} < {self.clock.now()}",
-        )
-        heapq.heappush(
-            self._heap, ScheduledEvent(timestamp, next(self._sequence), action)
-        )
+        if timestamp < self.clock.now():
+            raise ValueError(
+                f"cannot schedule in the past: {timestamp} < {self.clock.now()}"
+            )
+        heapq.heappush(self._heap, (timestamp, next(self._sequence), action))
 
     def schedule_after(self, delay: float, action: Callable[[], None]) -> None:
         """Run *action* after *delay* seconds of virtual time."""
-        require(delay >= 0.0, f"delay must be non-negative, got {delay}")
-        self.schedule_at(self.clock.now() + delay, action)
+        if delay < 0.0:
+            raise ValueError(f"delay must be non-negative, got {delay}")
+        heapq.heappush(
+            self._heap,
+            (self.clock.now() + delay, next(self._sequence), action),
+        )
 
     def pending(self) -> int:
         """Number of events still queued."""
@@ -58,9 +54,9 @@ class DiscreteEventSimulator:
         """Execute the next event; returns False when the heap is empty."""
         if not self._heap:
             return False
-        event = heapq.heappop(self._heap)
-        self.clock.advance_to(event.time)
-        event.action()
+        timestamp, _, action = heapq.heappop(self._heap)
+        self.clock.advance_to(timestamp)
+        action()
         self.events_executed += 1
         return True
 
@@ -70,7 +66,13 @@ class DiscreteEventSimulator:
         Events scheduled *by* executed events are honoured, so cascades
         (queue hop -> consumer -> next queue hop) play out naturally.
         """
-        while self._heap:
-            if until is not None and self._heap[0].time > until:
+        heap = self._heap
+        advance_to = self.clock.advance_to
+        pop = heapq.heappop
+        while heap:
+            if until is not None and heap[0][0] > until:
                 break
-            self.step()
+            timestamp, _, action = pop(heap)
+            advance_to(timestamp)
+            action()
+            self.events_executed += 1

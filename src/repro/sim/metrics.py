@@ -16,38 +16,58 @@ class LatencyBreakdown:
     calls ``record("queue:firehose", delay)`` and the breakdown takes shape
     from whatever stages actually ran.
 
-    Alongside the whole-run reservoir, a small bounded window of the most
+    Alongside the whole-run trackers, a small bounded window of the most
     recent totals feeds the adaptive controller: each tick *drains* the
     window (:meth:`drain_recent_totals`), so the SLO decision always sees
     only latencies observed since the last tick — stale breach samples
     can never pin the controller in shed mode after the flow recovers.
     """
 
-    #: Upper bound on per-tick totals retained for the recent window.
+    #: Upper bound on per-tick totals (unit samples) retained for the
+    #: recent window.
     RECENT_WINDOW = 4096
 
     def __init__(self) -> None:
         self.total = PercentileTracker()
         self._stages: dict[str, PercentileTracker] = {}
-        self._recent_totals: deque[float] = deque(maxlen=self.RECENT_WINDOW)
+        #: (seconds, weight) entries holding the newest RECENT_WINDOW
+        #: unit samples at most.
+        self._recent_totals: deque[list] = deque()
+        self._recent_weight = 0
 
-    def record(self, stage: str, seconds: float) -> None:
-        """Add one observation for *stage*."""
+    def record(self, stage: str, seconds: float, weight: int = 1) -> None:
+        """Add *weight* observations of *seconds* for *stage*."""
         tracker = self._stages.get(stage)
         if tracker is None:
             tracker = PercentileTracker()
             self._stages[stage] = tracker
-        tracker.add(seconds)
+        tracker.add(seconds, weight)
 
-    def record_total(self, seconds: float) -> None:
-        """Add one end-to-end observation."""
-        self.total.add(seconds)
-        self._recent_totals.append(seconds)
+    def record_total(self, seconds: float, weight: int = 1) -> None:
+        """Add *weight* end-to-end observations of *seconds*."""
+        self.total.add(seconds, weight)
+        recent = self._recent_totals
+        recent.append([seconds, weight])
+        self._recent_weight += weight
+        excess = self._recent_weight - self.RECENT_WINDOW
+        while excess > 0:  # forget the oldest unit samples
+            oldest = recent[0]
+            dropped = min(oldest[1], excess)
+            oldest[1] -= dropped
+            if not oldest[1]:
+                recent.popleft()
+            self._recent_weight -= dropped
+            excess -= dropped
 
     def drain_recent_totals(self) -> list[float]:
-        """Take (and clear) the end-to-end totals since the last drain."""
-        drained = list(self._recent_totals)
+        """Take (and clear) the end-to-end totals since the last drain,
+        one entry per unit sample."""
+        drained = [
+            seconds for seconds, weight in self._recent_totals
+            for _ in range(weight)
+        ]
         self._recent_totals.clear()
+        self._recent_weight = 0
         return drained
 
     def recent_p99(self) -> float | None:

@@ -34,7 +34,7 @@ from repro.streaming.queue import MessageQueue
 from repro.util.validation import require, require_non_negative
 
 if TYPE_CHECKING:  # avoid ops/scoring imports at runtime for these hooks
-    from repro.delivery.scoring import TopKPerUserBuffer
+    from repro.delivery.scoring import RankedRelease, TopKPerUserBuffer
     from repro.ops.admission import AdmissionController
     from repro.serving.cache import ServingCache
 
@@ -469,12 +469,7 @@ class DeliveryCoalescer:
             # window — buffer columnar, release each user's top-k, and
             # only those winners enter the funnel.
             self._ranker.offer_batch(merged)
-            released = self._ranker.flush(flushed_at)
-            if self._serving is not None:
-                self._serving.ingest_released(released, flushed_at)
-            self._notifications.extend(
-                self._delivery.offer_all(released, flushed_at)
-            )
+            self._release(self._ranker.flush(flushed_at), flushed_at)
             return
         if self._serving is not None:
             self._serving.ingest_batch(merged, flushed_at)
@@ -498,27 +493,39 @@ class DeliveryCoalescer:
         ``total = queue hops + batching + detection/rpc [+ delivery
         batching]`` — measured to the moment the candidates actually
         enter the funnel, so coalescing honestly shows up in the
-        end-to-end percentiles.
+        end-to-end percentiles.  Every candidate of the batch shares
+        these values, so each stage gets one sample weighted by the
+        candidate count.
         """
+        candidates = len(batch.recommendations)
+        if not candidates:
+            return
         total = flushed_at - batch.origin_event.created_at
         processing = batch.detection_seconds + batch.rpc_seconds
         batching = batch.batching_seconds
         queue_path = (
             delivered_at - batch.origin_event.created_at - processing - batching
         )
-        wait = flushed_at - delivered_at
         breakdown = self._breakdown
-        for _ in range(len(batch.recommendations)):
-            breakdown.record_total(total)
-            breakdown.record("path:queue", queue_path)
-            breakdown.record("path:processing", processing)
-            if batch.micro_batched:
-                # Zero-wait samples (the size-trigger's final event) count
-                # too, or the stage's percentiles would overstate the
-                # typical batching delay.
-                breakdown.record("path:batching", batching)
-            if coalesced:
-                breakdown.record("path:delivery-batching", wait)
+        breakdown.record_total(total, candidates)
+        breakdown.record("path:queue", queue_path, candidates)
+        breakdown.record("path:processing", processing, candidates)
+        if batch.micro_batched:
+            # Zero-wait samples (the size-trigger's final event) count
+            # too, or the stage's percentiles would overstate the
+            # typical batching delay.
+            breakdown.record("path:batching", batching, candidates)
+        if coalesced:
+            breakdown.record(
+                "path:delivery-batching", flushed_at - delivered_at, candidates
+            )
+
+    def _release(self, release: "RankedRelease", now: float) -> None:
+        """Feed a ranked flush's winners to serving and the funnel, columnar:
+        only the funnel's survivors are ever boxed."""
+        if self._serving is not None:
+            self._serving.ingest_released(release, now)
+        self._notifications.extend(self._delivery.offer_batch(release, now))
 
     def _offer_inline(self, batch: CandidateBatch, now: float) -> None:
         """Uncoalesced dispatch: the exact pre-coalescer behavior.
@@ -535,10 +542,7 @@ class DeliveryCoalescer:
             else:
                 for rec in recommendations:
                     self._ranker.offer(rec)
-            released = self._ranker.flush(now)
-            if self._serving is not None:
-                self._serving.ingest_released(released, now)
-            self._notifications.extend(self._delivery.offer_all(released, now))
+            self._release(self._ranker.flush(now), now)
             return
         if self._serving is not None:
             if isinstance(recommendations, RecommendationBatch):

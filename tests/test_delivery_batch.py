@@ -146,6 +146,37 @@ def test_offer_batch_equivalent_to_sequential_offers(batches, filters, start):
     assert_pipelines_equal(batched, sequential)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    batches=st.lists(batch_strategy(), min_size=1, max_size=4),
+    filters=filters_strategy(),
+    k=st.integers(1, 3),
+    start=st.floats(0.0, 86_400.0, allow_nan=False),
+)
+def test_offer_batch_on_release_matches_boxed_winners(batches, filters, k, start):
+    """offer_batch(release) == offer_all(list(release)), the boxed winner
+    path it replaced: same notifications, funnel dict and filter state
+    (each flush runs on the state the earlier flushes left behind)."""
+    import copy
+
+    columnar = DeliveryPipeline(filters=filters, notifier=PushNotifier())
+    boxed = DeliveryPipeline(filters=copy.deepcopy(filters), notifier=PushNotifier())
+    buffer = TopKPerUserBuffer(k=k)
+    for i, batch in enumerate(batches):
+        now = start + i * 600.0
+        buffer.offer_batch(batch)
+        release = buffer.flush(now)
+        delivered = columnar.offer_batch(release, now)
+        expected = boxed.offer_all(list(release), now)
+        assert [(n.recipient, n.recommendation) for n in delivered] == [
+            (n.recipient, n.recommendation) for n in expected
+        ]
+        assert [n.recommendation.via for n in delivered] == [
+            n.recommendation.via for n in expected
+        ]
+    assert_pipelines_equal(columnar, boxed)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     batch=batch_strategy(),

@@ -270,6 +270,60 @@ class TestColumnarFlushEquivalence:
             assert witness_score(boxed, now, half_life) == vector[i]
 
 
+class TestRankedRelease:
+    """flush returns a columnar RankedRelease; boxing it must reproduce
+    the per-candidate reference exactly, order included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(group_strategy(), min_size=0, max_size=4), min_size=1, max_size=4
+        ),
+        k=st.integers(1, 3),
+        now=st.floats(0.0, 10_000.0, allow_nan=False),
+    )
+    def test_boxed_release_equals_reference(self, batches, k, now):
+        buffer = TopKPerUserBuffer(k=k)
+        boxed: list[Recommendation] = []
+        for groups in batches:
+            batch = RecommendationBatch(groups)
+            buffer.offer_batch(batch)
+            boxed.extend(batch)
+        release = buffer.flush(now)
+        expected = reference_flush(boxed, k, 1_800.0, now)
+        assert [identity(r) for r in release] == [identity(r) for r in expected]
+        # The columns and the boxed view agree row for row.
+        assert release.recipients.tolist() == [r.recipient for r in expected]
+        assert release.candidates.tolist() == [r.candidate for r in expected]
+        assert release.witnesses.tolist() == [len(r.via) for r in expected]
+        assert release.created_at.tolist() == [r.created_at for r in expected]
+        assert release.scores.tolist() == [
+            witness_score(r, now, 1_800.0) for r in expected
+        ]
+        # The lazy groups iterate as the same boxed sequence.
+        assert [identity(r) for r in RecommendationBatch(release.groups)] == [
+            identity(r) for r in expected
+        ]
+        picked = np.arange(len(release))[::2]
+        assert [identity(r) for r in release.select(picked)] == [
+            identity(expected[i]) for i in picked.tolist()
+        ]
+
+    def test_empty_flush_is_an_empty_release(self):
+        release = TopKPerUserBuffer(k=2).flush(now=3.0)
+        assert len(release) == 0
+        assert release == []
+        assert release.groups == []
+        assert len(release.columns()) == 0
+
+    def test_scores_at_reuses_or_rescores(self):
+        buffer = TopKPerUserBuffer(k=2, half_life=60.0)
+        buffer.offer(rec(candidate=10, created_at=0.0, witnesses=2))
+        release = buffer.flush(now=60.0)
+        assert release.scores_at(60.0, 60.0) is release.scores
+        assert release.scores_at(120.0, 60.0).tolist() == [0.5]
+
+
 class TestArgpartitionPrecut:
     """The large-buffer argpartition pre-cut must be invisible in output."""
 

@@ -23,6 +23,7 @@ from repro.delivery import (
     DeliveryPipeline,
     FatigueFilter,
     ShardedDeliveryPipeline,
+    TopKPerUserBuffer,
     WakingHoursFilter,
     split_batch_by_shard,
 )
@@ -154,6 +155,34 @@ class TestShardedScalarOffers:
         b = via_boxed.offer_all(list(batch), now)
         assert _pairs(a) == _pairs(b)
         assert via_batch.funnel_totals() == via_boxed.funnel_totals()
+
+
+@pytest.mark.parametrize(
+    "transport", ["inprocess", pytest.param("shm", marks=needs_shm)]
+)
+def test_ranked_release_matches_boxed_winners(transport):
+    """A ranked flush's release crosses the shard split (and the shm
+    wire) through its lazy groups: same delivered sequence and funnel
+    totals as offering the boxed winners."""
+    columnar = ShardedDeliveryPipeline(
+        3, pipeline_factory=_production_trio, transport=transport
+    )
+    boxed = ShardedDeliveryPipeline(3, pipeline_factory=_production_trio)
+    buffer = TopKPerUserBuffer(k=2)
+    try:
+        for w, batch in enumerate(_random_batches(seed=5)):
+            now = 1_000.0 * w + 43_200.0
+            buffer.offer_batch(batch)
+            release = buffer.flush(now)
+            got = columnar.offer_batch(release, now)
+            expected = boxed.offer_all(list(release), now)
+            assert [(n.recipient, n.recommendation) for n in got] == [
+                (n.recipient, n.recommendation) for n in expected
+            ]
+        assert columnar.funnel_totals() == boxed.funnel_totals()
+    finally:
+        columnar.close()
+        boxed.close()
 
 
 class TestShardedFaultTolerance:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core import ActionType, EdgeEvent, Recommendation
 from repro.core.recommendation import RecommendationBatch, RecommendationGroup
-from repro.delivery.scoring import decayed_scores
+from repro.delivery.scoring import TopKPerUserBuffer, decayed_scores
 from repro.serving import ServedRecommendation, ServingCache, ShardedServingCache
 
 
@@ -171,6 +171,72 @@ class TestIngestAdapters:
             [PushNotification(recommendation=rec, delivered_at=2.0)], now=2.0
         )
         assert [r.candidate for r in cache.get_recommendations(4)] == [6]
+
+
+def ingest_boxed(cache, recs, now):
+    """The boxed winner ingest a ranked release replaced: re-column the
+    boxed rows and score them from scratch (the oracle)."""
+    n = len(recs)
+    if n == 0:
+        return
+    witnesses = np.fromiter((len(r.via) for r in recs), np.int64, n)
+    created = np.fromiter((r.created_at for r in recs), np.float64, n)
+    cache.update_columns(
+        np.fromiter((r.recipient for r in recs), np.int64, n),
+        np.fromiter((r.candidate for r in recs), np.int64, n),
+        decayed_scores(witnesses, created, now, cache.half_life),
+        created,
+        witnesses=witnesses,
+        now=now,
+    )
+
+
+def release_group_strategy():
+    return st.builds(
+        lambda recipients, candidate, created_at, witnesses: RecommendationGroup(
+            recipients,
+            candidate=candidate,
+            created_at=created_at,
+            via=tuple(range(witnesses)),
+        ),
+        recipients=st.lists(st.integers(0, 30), min_size=1, max_size=8),
+        candidate=st.integers(0, 9),
+        created_at=st.floats(0.0, 5_000.0, allow_nan=False),
+        witnesses=st.integers(0, 5),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    windows=st.lists(
+        st.lists(release_group_strategy(), max_size=5), min_size=1, max_size=4
+    ),
+    num_shards=st.integers(1, 3),
+    k=st.integers(1, 3),
+)
+def test_ingest_released_release_equals_boxed_ingest(windows, num_shards, k):
+    """ingest_released(release) reuses the flush's scores and columns; the
+    cache it builds is bitwise the boxed ingest's, shard for shard."""
+    columnar = ShardedServingCache(num_shards=num_shards, k=k)
+    boxed = ShardedServingCache(num_shards=num_shards, k=k)
+    buffer = TopKPerUserBuffer(k=k)
+    for w, groups in enumerate(windows):
+        now = 5_000.0 + 600.0 * w
+        buffer.offer_batch(RecommendationBatch(groups))
+        release = buffer.flush(now)
+        columnar.ingest_released(release, now)
+        winners = list(release)
+        for shard_id, shard in enumerate(boxed.shards):
+            ingest_boxed(
+                shard,
+                [r for r in winners if boxed.shard_of(r.recipient) == shard_id],
+                now,
+            )
+    got, expected = columnar.state_arrays(), boxed.state_arrays()
+    assert got.keys() == expected.keys()
+    for name in got:
+        assert got[name].dtype == expected[name].dtype
+        assert got[name].tobytes() == expected[name].tobytes(), name
 
 
 class TestShardedServingCache:

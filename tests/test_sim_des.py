@@ -54,6 +54,26 @@ class TestSimulator:
         sim.run()
         assert order == [0, 1, 2, 3, 4]
 
+    def test_fifo_among_many_ties(self):
+        # 10k same-time events: the sequence number alone orders them, so
+        # the heap never compares two actions.
+        sim = DiscreteEventSimulator()
+        order = []
+        for i in range(10_000):
+            sim.schedule_at(5.0, lambda i=i: order.append(i))
+        sim.run()
+        assert order == list(range(10_000))
+        assert sim.clock.now() == 5.0
+
+    def test_rejects_past_schedules(self):
+        sim = DiscreteEventSimulator()
+        sim.schedule_at(2.0, lambda: None)
+        sim.run()
+        with pytest.raises(ValueError):
+            sim.schedule_at(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule_after(-0.5, lambda: None)
+
     def test_cascading_schedules(self):
         sim = DiscreteEventSimulator()
         seen = []

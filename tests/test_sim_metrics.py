@@ -1,6 +1,8 @@
 """Unit tests for latency breakdowns and funnel counters."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.metrics import FunnelCounter, LatencyBreakdown
 
@@ -70,6 +72,41 @@ class TestRecentWindow:
         for _ in range(LatencyBreakdown.RECENT_WINDOW * 2):
             breakdown.record_total(1.0)
         assert len(breakdown.drain_recent_totals()) == LatencyBreakdown.RECENT_WINDOW
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 100.0), st.integers(1, 3_000)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_weighted_totals_equal_per_sample_recording(self, entries):
+        """record_total(v, w) == w x record_total(v): the same recent
+        window (its newest RECENT_WINDOW unit samples) and p99, and the
+        same whole-run percentiles."""
+        weighted, per_sample = LatencyBreakdown(), LatencyBreakdown()
+        for value, weight in entries:
+            weighted.record_total(value, weight)
+            weighted.record("stage", value, weight)
+            for _ in range(weight):
+                per_sample.record_total(value)
+                per_sample.record("stage", value)
+        # At most 36k unit samples: both trackers are under their cap.
+        for q in (50.0, 90.0, 99.0):
+            assert weighted.total.percentile(q) == per_sample.total.percentile(q)
+            assert weighted.stage("stage").percentile(q) == (
+                per_sample.stage("stage").percentile(q)
+            )
+        assert weighted.recent_p99() == per_sample.recent_p99()
+
+    def test_weighted_window_keeps_newest_units(self):
+        breakdown = LatencyBreakdown()
+        window = LatencyBreakdown.RECENT_WINDOW
+        breakdown.record_total(1.0, window - 10)
+        breakdown.record_total(2.0, 30)
+        drained = breakdown.drain_recent_totals()
+        assert drained == [1.0] * (window - 30) + [2.0] * 30
 
     def test_total_percentiles_unaffected_by_drain(self):
         breakdown = LatencyBreakdown()

@@ -4,10 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.util.stats import OnlineStats, PercentileTracker, describe, percentile
+from repro.util.stats import (
+    OnlineStats,
+    PercentileTracker,
+    describe,
+    percentile,
+    weighted_percentile,
+)
+
+#: Finite floats small enough that ``b - a`` cannot overflow, subnormals
+#: included (the interpolation's weakest spot).
+finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
 
 
 class TestPercentile:
@@ -30,10 +40,49 @@ class TestPercentile:
             percentile([1.0], 101)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
+    @example([5e-324, 5e-324])
+    @example([0.1, 0.1, 0.1])
+    @example([-2.5e-308, -2.5e-308, 1.0])
     def test_median_between_min_and_max(self, values):
         ordered = sorted(values)
         median = percentile(ordered, 50)
         assert ordered[0] <= median <= ordered[-1]
+
+    def test_equal_subnormals_are_not_rounded_to_zero(self):
+        # lo*(1-w) + hi*w underflows both halves to 0.0 here.
+        assert percentile([5e-324, 5e-324], 50) == 5e-324
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(finite, min_size=1, max_size=40),
+        st.floats(0.0, 100.0, allow_nan=False),
+    )
+    @example([5e-324, 5e-324], 50.0)
+    @example([1.0, 1.0 + 2**-52], 30.0)
+    def test_equals_numpy_bitwise(self, values, q):
+        ordered = sorted(values)
+        expected = float(np.percentile(np.asarray(ordered), q))
+        got = percentile(ordered, q)
+        assert got == expected
+        assert ordered[0] <= got <= ordered[-1]
+
+
+def expand(values, weights):
+    return sorted(v for v, w in zip(values, weights) for _ in range(w))
+
+
+class TestWeightedPercentile:
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.tuples(finite, st.integers(1, 6)), min_size=1, max_size=25),
+        st.floats(0.0, 100.0, allow_nan=False),
+    )
+    def test_equals_unweighted_on_expansion(self, entries, q):
+        entries.sort(key=lambda entry: entry[0])
+        values = [value for value, _ in entries]
+        cumulative = list(np.cumsum([weight for _, weight in entries]).tolist())
+        expanded = expand(values, [weight for _, weight in entries])
+        assert weighted_percentile(values, cumulative, q) == percentile(expanded, q)
 
 
 class TestOnlineStats:
@@ -71,6 +120,16 @@ class TestOnlineStats:
         assert merged.variance == pytest.approx(both.variance)
         assert merged.minimum == both.minimum
         assert merged.maximum == both.maximum
+
+    def test_weighted_add_matches_repeated_adds(self):
+        weighted, repeated = OnlineStats(), OnlineStats()
+        for value, weight in ((1.0, 3), (4.0, 1), (-2.0, 5)):
+            weighted.add(value, weight)
+            for _ in range(weight):
+                repeated.add(value)
+        assert weighted.count == repeated.count == 9
+        assert weighted.mean == pytest.approx(repeated.mean)
+        assert weighted.variance == pytest.approx(repeated.variance)
 
     def test_merge_with_empty(self):
         stats = OnlineStats()
@@ -131,6 +190,48 @@ class TestPercentileTracker:
     def test_rejects_bad_cap(self):
         with pytest.raises(ValueError):
             PercentileTracker(max_samples=0)
+
+    def test_rejects_non_positive_weight(self):
+        with pytest.raises(ValueError):
+            PercentileTracker().add(1.0, 0)
+
+    @settings(max_examples=150)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.integers(1, 50)),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(1, 60),
+    )
+    def test_weighted_equals_per_sample_while_under_cap(self, entries, cap):
+        """One weighted add == *weight* unit adds: percentiles exactly,
+        moments approximately, while the tracker holds <= cap entries."""
+        weighted = PercentileTracker(max_samples=max(cap, len(entries)))
+        per_sample = PercentileTracker(
+            max_samples=sum(weight for _, weight in entries)
+        )
+        for value, weight in entries:
+            weighted.add(value, weight)
+            for _ in range(weight):
+                per_sample.add(value)
+        assert weighted.is_exact and per_sample.is_exact
+        assert len(weighted) == len(per_sample)
+        for q in (0.0, 10.0, 50.0, 90.0, 99.0, 100.0):
+            assert weighted.percentile(q) == per_sample.percentile(q)
+        assert weighted.stats.count == per_sample.stats.count
+        assert weighted.stats.mean == pytest.approx(per_sample.stats.mean, abs=1e-6)
+        assert weighted.stats.minimum == per_sample.stats.minimum
+        assert weighted.stats.maximum == per_sample.stats.maximum
+
+    def test_compaction_bounds_entries(self):
+        tracker = PercentileTracker(max_samples=64, seed=3)
+        for i in range(10_000):
+            tracker.add(float(i % 100), 1 + i % 7)
+        assert not tracker.is_exact
+        assert len(tracker._values) <= 64
+        assert len(tracker) == sum(1 + i % 7 for i in range(10_000))
+        assert tracker.median() == pytest.approx(50.0, abs=8.0)
 
 
 class TestDescribe:
