@@ -27,7 +27,6 @@ Every command is deterministic given its ``--seed``.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import csv
 import sys
 from collections import Counter as CollectionsCounter
@@ -851,6 +850,8 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         f"({cache.bytes_per_user():.0f} bytes/user) from {len(events)} events",
         file=out,
     )
+    import asyncio
+
     try:
         return asyncio.run(_serve_frontend(cache, snapshot.num_users, args, out))
     except KeyboardInterrupt:
@@ -861,6 +862,7 @@ async def _serve_frontend(
     cache: ShardedServingCache, num_users: int, args: argparse.Namespace, out
 ) -> int:
     """Bind the TCP front-end; self-test (``--smoke-queries``) or serve."""
+    import asyncio
     import json
 
     frontend = ServingFrontend(cache)

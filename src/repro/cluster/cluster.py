@@ -1,7 +1,8 @@
 """Cluster assembly: snapshot -> partition shards -> replicas -> broker.
 
 ``Cluster.build`` performs the offline load step for every partition: it
-inverts the snapshot into per-partition S shards (disjoint A's), creates
+inverts the snapshot into per-partition S shards (disjoint A's) in one
+columnar pass (:func:`build_shards`), creates
 ``replication_factor`` replicas per partition each with a private full D
 copy, wires simulated channels, and parks a broker in front.  Production
 runs 20 partitions; the partition-scaling benchmark (E5) sweeps this.
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 
 from repro.cluster.broker import Broker
 from repro.cluster.partition import PartitionServer
@@ -30,8 +32,12 @@ from repro.core.events import EdgeEvent
 from repro.core.params import DetectionParams
 from repro.core.recommendation import Recommendation
 from repro.graph.dynamic_index import DynamicEdgeIndex
-from repro.graph.snapshot import GraphSnapshot, build_follower_snapshot
-from repro.graph.static_index import StaticFollowerIndex
+from repro.graph.snapshot import GraphSnapshot
+from repro.graph.static_index import (
+    CsrFollowerIndex,
+    StaticFollowerIndex,
+    build_follower_index,
+)
 from repro.util.rng import make_rng
 from repro.util.validation import require, require_positive
 
@@ -108,6 +114,38 @@ class ClusterConfig:
         )
 
 
+def build_shards(
+    snapshot: GraphSnapshot,
+    partitioner: Partitioner,
+    num_shards: int,
+    influencer_limit: int | None = None,
+    backend: str = "csr",
+) -> list[StaticFollowerIndex | CsrFollowerIndex]:
+    """Every partition's S shard from one pass over the snapshot.
+
+    Owners are computed once for every user, the edges are stably sorted
+    by their A's owner once, and shard *p* inverts its contiguous slice
+    (A's stay ascending inside it, so the kernel skips its dedup sort).
+    """
+    src, dst = snapshot.graph.edge_columns()
+    weights = None
+    if influencer_limit is not None:
+        weights = snapshot.weight_column(src, dst)
+    owner = partitioner.owners(np.arange(snapshot.num_users, dtype=np.int64))[src]
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(num_shards + 1))
+    return [
+        build_follower_index(
+            src[rows],
+            dst[rows],
+            backend,
+            influencer_limit,
+            None if weights is None else weights[rows],
+        )
+        for rows in np.split(order[: bounds[-1]], bounds[1:-1])
+    ]
+
+
 class Cluster:
     """The full serving stack: broker + replicated partitions."""
 
@@ -162,14 +200,15 @@ class Cluster:
         config = config or ClusterConfig()
         partitioner = partitioner or HashPartitioner(config.num_partitions)
 
+        shards = build_shards(
+            snapshot,
+            partitioner,
+            config.num_partitions,
+            config.influencer_limit,
+            config.s_backend,
+        )
         replica_sets: list[ReplicaSet] = []
-        for p in range(config.num_partitions):
-            shard = build_follower_snapshot(
-                snapshot,
-                influencer_limit=config.influencer_limit,
-                include_source=lambda a, p=p: partitioner.partition_of(a) == p,
-                backend=config.s_backend,
-            )
+        for p, shard in enumerate(shards):
             replicas: list[PartitionServer] = []
             channels: list[SimulatedChannel] = []
             for r in range(config.replication_factor):
@@ -342,15 +381,14 @@ class Cluster:
         without a restart.  Returns the number of partitions reloaded
         (dead workers are skipped, like any other control message).
         """
-        shards = {}
-        for p in range(self.broker.transport.num_partitions):
-            shards[p] = build_follower_snapshot(
-                snapshot,
-                influencer_limit=influencer_limit,
-                include_source=lambda a, p=p: self.partitioner.partition_of(a) == p,
-                backend=self.config.s_backend,
-            )
-        return self.broker.transport.reload_static(shards)
+        shards = build_shards(
+            snapshot,
+            self.partitioner,
+            self.broker.transport.num_partitions,
+            influencer_limit,
+            self.config.s_backend,
+        )
+        return self.broker.transport.reload_static(dict(enumerate(shards)))
 
     def checkpoint_dynamic(self) -> "dict | None":
         """One reachable replica's complete D as checkpoint arrays.

@@ -4,23 +4,21 @@ The paper partitions by the *source* vertices of S ("each partition holds a
 disjoint set of source vertices for the S data structure"), so every
 adjacency-list intersection is local to one partition.  The same B may
 appear in many partitions; that is by design.
+
+Every partitioner answers both per id (:meth:`partition_of`, the routing
+path) and per column (:meth:`owners`, the offline load, which assigns
+every user at once); the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 from typing import Protocol
 
+import numpy as np
+
 from repro.graph.ids import UserId
+from repro.util.hashing import splitmix64, splitmix64_array
 from repro.util.validation import require_positive
-
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(value: int) -> int:
-    value = (value + 0x9E3779B97F4A7C15) & _MASK64
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return value ^ (value >> 31)
 
 
 class Partitioner(Protocol):
@@ -30,6 +28,10 @@ class Partitioner(Protocol):
 
     def partition_of(self, a: UserId) -> int:
         """The partition index in ``[0, num_partitions)`` owning *a*."""
+        ...
+
+    def owners(self, ids: np.ndarray) -> np.ndarray:
+        """:meth:`partition_of` of every id in an int64 column, as int64."""
         ...
 
 
@@ -47,7 +49,12 @@ class HashPartitioner:
 
     def partition_of(self, a: UserId) -> int:
         """Owner partition of *a*."""
-        return _splitmix64(a) % self.num_partitions
+        return splitmix64(a) % self.num_partitions
+
+    def owners(self, ids: np.ndarray) -> np.ndarray:
+        """Owner partition of every id in *ids*."""
+        mixed = splitmix64_array(np.asarray(ids, dtype=np.int64).astype(np.uint64))
+        return (mixed % np.uint64(self.num_partitions)).astype(np.int64)
 
 
 class ModuloPartitioner:
@@ -60,3 +67,7 @@ class ModuloPartitioner:
     def partition_of(self, a: UserId) -> int:
         """Owner partition of *a*."""
         return a % self.num_partitions
+
+    def owners(self, ids: np.ndarray) -> np.ndarray:
+        """Owner partition of every id in *ids*."""
+        return np.asarray(ids, dtype=np.int64) % self.num_partitions

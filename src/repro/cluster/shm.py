@@ -47,7 +47,10 @@ the parent process only.  Workers *attach* by name and close their
 mapping on exit; the parent unlinks every segment in ``close()`` —
 including the slabs of workers that died mid-batch (dead-worker slab
 reclamation) — and a module-level ``atexit`` sweep unlinks anything a
-crashed caller left behind, so ``/dev/shm`` never accumulates orphans.
+crashed caller left behind.  A ``kill -9`` skips ``atexit``, so the next
+shm transport (or recovery) to start reclaims the segments of creators
+that are no longer alive (:func:`reclaim_dead_segments`), and
+``/dev/shm`` never accumulates orphans.
 The serving arenas (:class:`ShmArena`) extend the discipline to
 *worker-created* segments: a worker that allocates a growth segment
 derives its name deterministically from a parent-owned control segment,
@@ -80,6 +83,7 @@ __all__ = [
     "RingPairSpec",
     "shm_available",
     "live_segment_names",
+    "reclaim_dead_segments",
     "sweep_segments",
     "unlink_segment",
 ]
@@ -203,6 +207,39 @@ def unlink_segment(name: str) -> bool:
 
 
 atexit.register(sweep_segments)
+
+def reclaim_dead_segments(directory: str = "/dev/shm") -> list[str]:
+    """Unlink every ``repro_shm_<pid>_*`` segment whose creator is dead.
+
+    Every segment name embeds its creator's pid (worker-made serving
+    data segments embed the parent's, via their control name), and a
+    ``kill -9`` skips the creator's ``atexit`` sweep, so shm transports
+    and recovery call this on start.  A live pid's segments are never
+    touched.  Returns the names unlinked.
+    """
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    reclaimed = []
+    for name in names:
+        pid = name.split("_")[2] if name.startswith("repro_shm_") else ""
+        if not pid.isdigit():
+            continue
+        try:
+            os.kill(int(pid), 0)
+            continue  # alive
+        except (PermissionError, OverflowError):
+            continue  # another user's live process, or not a pid
+        except ProcessLookupError:
+            pass
+        try:
+            os.unlink(os.path.join(directory, name))
+            reclaimed.append(name)
+        except OSError:
+            pass  # raced with another sweeper
+    return reclaimed
+
 
 _SHM_AVAILABLE: bool | None = None
 

@@ -51,6 +51,7 @@ from repro.cluster.shm import (
     DEFAULT_SLOTS,
     RingPair,
     TornFrameError,
+    reclaim_dead_segments,
     shm_available,
     sweep_segments,
 )
@@ -943,6 +944,7 @@ class SharedMemoryTransport(WorkerProcessTransport):
             "shared memory is unavailable on this host (no /dev/shm?); "
             "use transport='process' instead",
         )
+        reclaim_dead_segments()
         self._slots = slots
         self._slot_bytes = slot_bytes
         self._segment_names: list[str] = []

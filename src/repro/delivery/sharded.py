@@ -45,6 +45,7 @@ from repro.cluster.shm import (
     DEFAULT_SLOTS,
     RingPair,
     TornFrameError,
+    reclaim_dead_segments,
     shm_available,
     sweep_segments,
 )
@@ -332,6 +333,7 @@ class ShardedDeliveryPipeline:
                 "shared memory is unavailable on this host (no /dev/shm?); "
                 "use transport='process' instead",
             )
+            reclaim_dead_segments()
         require(
             serving is None or serving_tap is None,
             "serving (in-worker cache writers) and serving_tap (parent-side "

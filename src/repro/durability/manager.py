@@ -45,11 +45,13 @@ def prepare_root(
     """Initialize a durability root: static graph + run configuration.
 
     Both are written once at startup — recovery rebuilds the cluster
-    from them, then restores dynamic state from snapshots + WAL.
+    from them, then restores dynamic state from snapshots + WAL.  The
+    graph is written uncompressed: it is rewritten on every start, and
+    ``GraphSnapshot.load`` reads either form.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    snapshot.save(root / "graph.npz")
+    np.savez(root / "graph.npz", **snapshot.arrays())
     with open(root / "config.json", "w") as handle:
         json.dump(config, handle, indent=1)
     return root

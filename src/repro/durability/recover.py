@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.cluster.shm import reclaim_dead_segments
 from repro.core.params import DetectionParams
 from repro.core.recommendation import RecommendationBatch
 from repro.delivery.dedup import DedupFilter
@@ -111,6 +112,8 @@ def recover(root: str | Path, *, use_snapshot: bool = True) -> RecoveryResult:
     tail if the crash left one; everything before it is recovered.
     """
     root = Path(root)
+    # The crashed run's shm segments: a SIGKILL skipped its own sweep.
+    reclaim_dead_segments()
     config = load_root_config(root)
     cluster = _build_cluster(root, config)
     delivery = DeliveryPipeline(filters=[DedupFilter()])

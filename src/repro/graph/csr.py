@@ -9,7 +9,7 @@ traverse.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -17,30 +17,18 @@ from repro.graph.ids import UserId
 from repro.util.validation import require
 
 
-def pack_rows(
-    rows: Mapping[int, Sequence[int]],
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Pack keyed adjacency rows into one contiguous int64 arena.
+def sorted_unique_pairs(src: np.ndarray, dst: np.ndarray) -> np.ndarray | slice:
+    """Index that sorts aligned ``(src, dst)`` columns and drops repeats.
 
-    The CSR-style building block shared by full-graph CSR construction and
-    the columnar S backend: every row is laid out back-to-back in a single
-    ``int64`` arena, with an offsets table such that row ``i`` occupies
-    ``arena[offsets[i]:offsets[i + 1]]``.  Row *values* are stored exactly
-    as given (callers own sorting/dedup); row *order* follows the mapping's
-    iteration order.
-
-    Returns ``(keys, offsets, arena)`` where ``keys[i]`` is the key whose
-    row is the ``i``-th slice.
+    A plain ``slice`` when the pairs already are sorted and distinct (a
+    CSR graph's own edge columns), which skips the lexsort.
     """
-    keys = list(rows)
-    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-    for i, key in enumerate(keys):
-        offsets[i + 1] = offsets[i] + len(rows[key])
-    total = int(offsets[-1])
-    arena = np.empty(total, dtype=np.int64)
-    for i, key in enumerate(keys):
-        arena[int(offsets[i]) : int(offsets[i + 1])] = rows[key]
-    return keys, offsets, arena
+    step = np.diff(src)
+    if np.all((step > 0) | ((step == 0) & (dst[1:] > dst[:-1]))):
+        return slice(None)
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    return order[np.r_[True, (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])]]
 
 
 class CsrGraph:
@@ -76,25 +64,8 @@ class CsrGraph:
             num_nodes: total vertex count; inferred from the max id if
                 omitted (isolated tail vertices then need it explicitly).
         """
-        edge_list = list(edges)
-        if not edge_list:
-            size = num_nodes if num_nodes is not None else 0
-            return cls(np.zeros(size + 1, dtype=np.int64), np.empty(0, np.int64))
-        src = np.fromiter((e[0] for e in edge_list), np.int64, len(edge_list))
-        dst = np.fromiter((e[1] for e in edge_list), np.int64, len(edge_list))
-        inferred = int(max(src.max(), dst.max())) + 1
-        size = inferred if num_nodes is None else num_nodes
-        require(size >= inferred, f"num_nodes={size} too small for ids up to {inferred - 1}")
-        # Sort by (src, dst), then drop duplicate pairs.
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        keep = np.ones(len(src), dtype=bool)
-        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        src, dst = src[keep], dst[keep]
-        counts = np.bincount(src, minlength=size)
-        indptr = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, dst)
+        pairs = np.fromiter(edges, dtype=np.dtype((np.int64, 2)))
+        return cls.from_arrays(pairs[:, 0], pairs[:, 1], num_nodes)
 
     @classmethod
     def from_arrays(
@@ -102,8 +73,8 @@ class CsrGraph:
     ) -> "CsrGraph":
         """Build from aligned ``int64`` edge columns; duplicates collapsed.
 
-        The columnar twin of :meth:`from_edges` — same lexsort + dedup +
-        bincount construction on arrays the caller already holds, so the
+        The columnar construction :meth:`from_edges` also runs: lexsort,
+        dedup and bincount on arrays the caller already holds, so the
         chunked graph generator never boxes an edge list.
         """
         require(len(src) == len(dst), "src and dst must be aligned")
@@ -115,11 +86,8 @@ class CsrGraph:
         inferred = int(max(src.max(), dst.max())) + 1
         size = inferred if num_nodes is None else num_nodes
         require(size >= inferred, f"num_nodes={size} too small for ids up to {inferred - 1}")
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        keep = np.ones(len(src), dtype=bool)
-        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        src, dst = src[keep], dst[keep]
+        unique = sorted_unique_pairs(src, dst)
+        src, dst = src[unique], dst[unique]
         counts = np.bincount(src, minlength=size)
         indptr = np.zeros(size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
@@ -159,6 +127,17 @@ class CsrGraph:
         position = int(np.searchsorted(row, dst))
         return position < len(row) and int(row[position]) == dst
 
+    def edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``(src, dst)`` pair as two aligned int64 columns.
+
+        The columnar twin of :meth:`edges`: sorted by ``(src, dst)``, with
+        *dst* the CSR indices array itself (no copy).
+        """
+        src = np.repeat(
+            np.arange(self.num_nodes, dtype=np.int64), self.out_degrees()
+        )
+        return src, self._indices
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate all ``(src, dst)`` pairs in sorted order."""
         for v in range(self.num_nodes):
@@ -167,16 +146,8 @@ class CsrGraph:
 
     def transposed(self) -> "CsrGraph":
         """Return the graph with every edge reversed (in-adjacency view)."""
-        src_rep = np.repeat(
-            np.arange(self.num_nodes, dtype=np.int64), self.out_degrees()
-        )
-        order = np.lexsort((src_rep, self._indices))
-        new_src = self._indices[order]
-        new_dst = src_rep[order]
-        counts = np.bincount(new_src, minlength=self.num_nodes)
-        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return CsrGraph(indptr, new_dst)
+        src, dst = self.edge_columns()
+        return CsrGraph.from_arrays(dst, src, self.num_nodes)
 
     def _check_node(self, v: UserId) -> None:
         if not 0 <= v < self.num_nodes:

@@ -11,18 +11,17 @@ reuse generated graphs.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.graph.csr import CsrGraph
 from repro.graph.ids import UserId
 from repro.graph.static_index import (
-    S_BACKENDS,
     CsrFollowerIndex,
     StaticFollowerIndex,
+    build_follower_index,
 )
-from repro.util.validation import require
 
 
 class GraphSnapshot:
@@ -74,19 +73,25 @@ class GraphSnapshot:
         return cls(CsrGraph.from_arrays(src, dst, num_nodes))
 
     def save(self, path: str | Path) -> None:
-        """Persist to an ``.npz`` file (CSR arrays + packed weights)."""
-        path = Path(path)
+        """Persist to a compressed ``.npz`` file (CSR arrays + weights)."""
+        np.savez_compressed(Path(path), **self.arrays())
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The arrays :meth:`save` writes, by name.
+
+        :meth:`load` reads them back from compressed and uncompressed
+        ``.npz`` files alike.
+        """
         weight_keys = np.array(
             [[a, b] for (a, b) in self.edge_weights], dtype=np.int64
         ).reshape(-1, 2)
         weight_values = np.array(list(self.edge_weights.values()), dtype=np.float64)
-        np.savez_compressed(
-            path,
-            indptr=self.graph._indptr,
-            indices=self.graph._indices,
-            weight_keys=weight_keys,
-            weight_values=weight_values,
-        )
+        return {
+            "indptr": self.graph._indptr,
+            "indices": self.graph._indices,
+            "weight_keys": weight_keys,
+            "weight_values": weight_values,
+        }
 
     @classmethod
     def load(cls, path: str | Path) -> "GraphSnapshot":
@@ -127,11 +132,30 @@ class GraphSnapshot:
         """Affinity weight of edge ``a -> b`` (0.0 when unscored)."""
         return self.edge_weights.get((a, b), 0.0)
 
+    def weight_column(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
+        """:meth:`weight_of` every ``(src, dst)`` edge; None when unscored."""
+        if not self.edge_weights:
+            return None
+        n = self.num_users
+        pairs = np.array(list(self.edge_weights), dtype=np.int64).reshape(-1, 2)
+        values = np.fromiter(self.edge_weights.values(), np.float64, len(pairs))
+        # Encode pairs as a * n + b; scored pairs outside the graph's id
+        # range can never match an edge, so they are dropped first.
+        inside = np.all((pairs >= 0) & (pairs < n), axis=1)
+        codes = pairs[inside, 0] * n + pairs[inside, 1]
+        if not len(codes):
+            return np.zeros(len(src))
+        order = np.argsort(codes)
+        codes, values = codes[order], values[inside][order]
+        wanted = src * n + dst
+        position = np.searchsorted(codes, wanted).clip(max=len(codes) - 1)
+        return np.where(codes[position] == wanted, values[position], 0.0)
+
 
 def build_follower_snapshot(
     snapshot: GraphSnapshot,
     influencer_limit: int | None = None,
-    include_source: Callable[[UserId], bool] | None = None,
+    sources: np.ndarray | None = None,
     backend: str = "csr",
 ) -> StaticFollowerIndex | CsrFollowerIndex:
     """Invert a snapshot into the serving-side S structure.
@@ -139,30 +163,24 @@ def build_follower_snapshot(
     This is the "periodic offline load" step of the paper: take the forward
     ``A -> B`` snapshot, apply the per-user influencer cap using the
     snapshot's edge weights, restrict to a partition's A's, and emit the
-    inverse sorted-follower index.
+    inverse sorted-follower index.  The CSR arrays feed the columnar
+    kernel (:func:`~repro.graph.static_index.invert_edge_columns`)
+    directly; no edge is ever boxed.
 
     Args:
         snapshot: the offline forward graph.
         influencer_limit: per-A cap on retained followings.
-        include_source: partition membership predicate over A.
+        sources: partition membership as a boolean mask over user ids.
         backend: ``"csr"`` (default) builds the single-arena
             :class:`~repro.graph.static_index.CsrFollowerIndex`;
             ``"packed"`` builds the per-key
             :class:`~repro.graph.static_index.StaticFollowerIndex`.
             Query results are identical either way.
     """
-    require(snapshot.num_users >= 0, "snapshot must be well-formed")
-    require(
-        backend in S_BACKENDS,
-        f"unknown S backend {backend!r}; expected one of {S_BACKENDS}",
-    )
-    weight = None
-    if snapshot.edge_weights:
-        weight = snapshot.weight_of
-    index_cls = CsrFollowerIndex if backend == "csr" else StaticFollowerIndex
-    return index_cls.from_follow_edges(
-        snapshot.follow_edges(),
-        influencer_limit=influencer_limit,
-        edge_weight=weight,
-        include_source=include_source,
+    src, dst = snapshot.graph.edge_columns()
+    weights = None
+    if influencer_limit is not None:
+        weights = snapshot.weight_column(src, dst)
+    return build_follower_index(
+        src, dst, backend, influencer_limit, weights, sources
     )

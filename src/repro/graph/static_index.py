@@ -9,15 +9,19 @@ sorted so the detector can intersect them cheaply.  Mirroring production:
 * each user's *influencer list* (the B's an A follows) may be truncated to
   the top-``influencer_limit`` entries by weight, which both improves
   candidate quality and bounds S's memory;
-* a partition holds only the A's it owns, so construction accepts an
-  ``include_source`` predicate.
+* a partition holds only the A's it owns, so construction accepts a
+  ``sources`` mask over user ids.
+
+Both backends are built from the one columnar kernel,
+:func:`invert_edge_columns`, which turns ``(A, B)`` edge columns into a
+``(keys, offsets, arena)`` triple with keys in ascending B order.
 
 Two interchangeable storage backends implement the same query API:
 
 * :class:`StaticFollowerIndex` (``packed``) — one ``array('q')`` buffer per
   B, the closest pure-Python analogue to primitive arrays;
 * :class:`CsrFollowerIndex` (``csr``) — a single ``int64`` numpy arena plus
-  an offsets table (CSR-style, see :func:`repro.graph.csr.pack_rows`), so
+  an offsets table (CSR-style), so
   ``followers_of`` is a true zero-copy arena slice with no per-key buffer
   object.  An append-and-compact overlay keeps incremental graph updates
   possible without giving up the contiguous layout.
@@ -36,10 +40,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.graph.csr import pack_rows
+from repro.graph.csr import sorted_unique_pairs
 from repro.graph.ids import UserId
 from repro.util.memory import approx_bytes_of_int_list
-from repro.util.validation import require_positive
+from repro.util.validation import require, require_positive
 
 #: Selectable S storage backends (``build_follower_snapshot(backend=...)``).
 S_BACKENDS = ("packed", "csr")
@@ -52,55 +56,123 @@ def _with_npz_suffix(path: Path) -> Path:
     return path.with_name(path.name + ".npz")
 
 
-def invert_follow_edges(
-    edges: Iterable[tuple[UserId, UserId]],
+def _row_starts(column: np.ndarray) -> np.ndarray:
+    """Start positions of the runs of equal values in a grouped column."""
+    if not len(column):
+        return _EMPTY_NDARRAY
+    return np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
+
+
+def invert_edge_columns(
+    src: np.ndarray,
+    dst: np.ndarray,
     influencer_limit: int | None = None,
-    edge_weight: Callable[[UserId, UserId], float] | None = None,
-    include_source: Callable[[UserId], bool] | None = None,
-) -> dict[UserId, list[UserId]]:
-    """Invert ``(A, B)`` follow edges into ``B -> sorted distinct A's``.
+    weights: np.ndarray | None = None,
+    sources: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Invert ``(A, B)`` follow-edge columns into S's ``(keys, offsets, arena)``.
 
-    The shared bulk-load front half of both S backends: group by A, apply
-    the paper's per-user influencer cap, restrict to a partition's A's,
-    then invert to the B-keyed layout with each follower list sorted.
-
-    Args:
-        edges: iterable of ``(A, B)`` pairs; duplicates are collapsed.
-        influencer_limit: if given, each A keeps only its
-            ``influencer_limit`` highest-weight B's before inversion.
-        edge_weight: scoring function for the influencer cap; defaults to
-            uniform weights, which makes truncation arbitrary-but-
-            deterministic (lowest B ids win ties).
-        include_source: partition predicate — only A's for which it
-            returns True are loaded (``None`` keeps everyone).
+    The one bulk-load kernel behind both S backends: keep the edges whose
+    A is set in the *sources* mask (indexed by user id), collapse
+    duplicates, keep each A's first ``influencer_limit`` B's by
+    ``(-weight, B)`` (uniform *weights* when omitted, so ties and the
+    unweighted cap go to the lower B), then invert with one stable sort
+    on B.  Row ``i``, ``arena[offsets[i]:offsets[i + 1]]``, holds the
+    A's following ``keys[i]`` in ascending order; keys ascend too.
     """
     if influencer_limit is not None:
         require_positive(influencer_limit, "influencer_limit")
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if influencer_limit is None:
+        weights = None
+    if sources is not None:
+        keep = np.asarray(sources, dtype=bool)[src]
+        src, dst = src[keep], dst[keep]
+        if weights is not None:
+            weights = weights[keep]
+    unique = sorted_unique_pairs(src, dst)
+    src, dst = src[unique], dst[unique]
+    if weights is not None:
+        weights = weights[unique]
+    if influencer_limit is not None:
+        if weights is not None:
+            order = np.lexsort((dst, -weights, src))
+            src, dst = src[order], dst[order]
+        starts = _row_starts(src)
+        lengths = np.diff(np.r_[starts, len(src)])
+        rank = np.arange(len(src)) - np.repeat(starts, lengths)
+        kept = rank < influencer_limit
+        src, dst = src[kept], dst[kept]
+    # Stable on B: each row's A's keep their ascending order.
+    order = np.argsort(dst, kind="stable")
+    arena = src[order]
+    dst = dst[order]
+    starts = _row_starts(dst)
+    return dst[starts], np.r_[starts, len(dst)].astype(np.int64), arena
 
-    followings: dict[UserId, set[UserId]] = {}
-    for a, b in edges:
-        if include_source is not None and not include_source(a):
-            continue
-        followings.setdefault(a, set()).add(b)
 
-    inverse: dict[UserId, list[UserId]] = {}
-    for a, b_set in followings.items():
-        kept: Iterable[UserId] = b_set
-        if influencer_limit is not None and len(b_set) > influencer_limit:
-            if edge_weight is None:
-                kept = sorted(b_set)[:influencer_limit]
-            else:
-                kept = sorted(
-                    b_set, key=lambda b: (-edge_weight(a, b), b)
-                )[:influencer_limit]
-        for b in kept:
-            inverse.setdefault(b, []).append(a)
-    for a_list in inverse.values():
-        a_list.sort()
-    return inverse
+def _row_columns(
+    rows: Mapping[UserId, Sequence[UserId]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """A ``B -> A's`` mapping as ``(A, B)`` edge columns."""
+    parts = [np.asarray(a_list, dtype=np.int64) for a_list in rows.values()]
+    dst = np.repeat(np.fromiter(rows, np.int64, len(rows)), [len(p) for p in parts])
+    return (np.concatenate(parts) if parts else _EMPTY_NDARRAY), dst
 
 
-class StaticFollowerIndex:
+class _BulkLoaded:
+    """The boxed-pairs entry point both S backends share."""
+
+    @classmethod
+    def from_follow_edges(
+        cls,
+        edges: Iterable[tuple[UserId, UserId]],
+        influencer_limit: int | None = None,
+        edge_weight: Callable[[UserId, UserId], float] | None = None,
+        sources: np.ndarray | None = None,
+    ):
+        """Bulk-load S from ``(A, B)`` follow edges (*A follows B*).
+
+        See :func:`invert_edge_columns` for the argument semantics;
+        *edge_weight* scores one ``(A, B)`` edge for the influencer cap.
+        """
+        pairs = np.fromiter(edges, dtype=np.dtype((np.int64, 2)))
+        weights = None
+        if edge_weight is not None and influencer_limit is not None:
+            weights = np.fromiter(
+                (edge_weight(a, b) for a, b in pairs.tolist()), np.float64, len(pairs)
+            )
+        return cls.from_arrays(
+            *invert_edge_columns(
+                pairs[:, 0], pairs[:, 1], influencer_limit, weights, sources
+            )
+        )
+
+
+def build_follower_index(
+    src: np.ndarray,
+    dst: np.ndarray,
+    backend: str = "csr",
+    influencer_limit: int | None = None,
+    weights: np.ndarray | None = None,
+    sources: np.ndarray | None = None,
+) -> "StaticFollowerIndex | CsrFollowerIndex":
+    """S in the *backend* layout from follow-edge columns.
+
+    See :func:`invert_edge_columns` for the remaining arguments.
+    """
+    require(
+        backend in S_BACKENDS,
+        f"unknown S backend {backend!r}; expected one of {S_BACKENDS}",
+    )
+    index_cls = CsrFollowerIndex if backend == "csr" else StaticFollowerIndex
+    return index_cls.from_arrays(
+        *invert_edge_columns(src, dst, influencer_limit, weights, sources)
+    )
+
+
+class StaticFollowerIndex(_BulkLoaded):
     """Immutable map ``B -> sorted packed array of A's that follow B``."""
 
     backend = "packed"
@@ -121,22 +193,17 @@ class StaticFollowerIndex:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_follow_edges(
-        cls,
-        edges: Iterable[tuple[UserId, UserId]],
-        influencer_limit: int | None = None,
-        edge_weight: Callable[[UserId, UserId], float] | None = None,
-        include_source: Callable[[UserId], bool] | None = None,
+    def from_arrays(
+        cls, keys: np.ndarray, offsets: np.ndarray, arena: np.ndarray
     ) -> "StaticFollowerIndex":
-        """Bulk-load S from ``(A, B)`` follow edges (*A follows B*).
-
-        See :func:`invert_follow_edges` for the argument semantics.
-        """
-        inverse = invert_follow_edges(
-            edges, influencer_limit, edge_weight, include_source
-        )
-        packed = {b: array("q", a_list) for b, a_list in inverse.items()}
-        return cls(packed)
+        """Slice an :func:`invert_edge_columns` triple into per-B buffers."""
+        followers = {}
+        bounds = offsets.tolist()
+        for row, b in enumerate(keys.tolist()):
+            buffer = array("q")
+            buffer.frombytes(arena[bounds[row] : bounds[row + 1]].tobytes())
+            followers[b] = buffer
+        return cls(followers)
 
     # ------------------------------------------------------------------
     # Queries
@@ -209,7 +276,7 @@ class StaticFollowerIndex:
         return histogram
 
 
-class CsrFollowerIndex:
+class CsrFollowerIndex(_BulkLoaded):
     """CSR-arena S backend: all follower lists in one contiguous int64 array.
 
     Per-B state shrinks to one dict slot holding a row number; the follower
@@ -236,42 +303,45 @@ class CsrFollowerIndex:
     def __init__(self, followers: Mapping[UserId, Sequence[UserId]]) -> None:
         """Pack an already-inverted ``B -> sorted distinct A's`` mapping.
 
-        Prefer :meth:`from_follow_edges`, which also applies the influencer
-        cap and partition predicate.
+        Prefer :meth:`from_follow_edges`, which also applies the
+        influencer cap and partition mask, or :meth:`from_arrays`.
         """
-        keys, offsets, arena = pack_rows(followers)
+        self._adopt(*invert_edge_columns(*_row_columns(followers)))
+        #: Overlay size (edges) that triggers an automatic :meth:`compact`.
+        self.compact_threshold = self.DEFAULT_COMPACT_THRESHOLD
+
+    def _adopt(
+        self, keys: np.ndarray, offsets: np.ndarray, arena: np.ndarray
+    ) -> None:
+        """Make ``(keys, offsets, arena)`` the arena, with an empty overlay."""
         self._arena = arena
         self._offsets = offsets
         #: Python-int row bounds for scalar lookups (a ``tolist`` upfront is
         #: far cheaper than boxing two numpy scalars per followers_of call).
         self._bounds: list[int] = offsets.tolist()
-        self._rows: dict[UserId, int] = {b: i for i, b in enumerate(keys)}
+        self._rows: dict[UserId, int] = dict(zip(keys.tolist(), range(len(keys))))
         # Overlay state for the append-and-compact update path.
         self._pending: dict[UserId, set[UserId]] = {}
         self._pending_edges = 0
         self._merged_cache: dict[UserId, np.ndarray] = {}
-        #: Overlay size (edges) that triggers an automatic :meth:`compact`.
-        self.compact_threshold = self.DEFAULT_COMPACT_THRESHOLD
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_follow_edges(
-        cls,
-        edges: Iterable[tuple[UserId, UserId]],
-        influencer_limit: int | None = None,
-        edge_weight: Callable[[UserId, UserId], float] | None = None,
-        include_source: Callable[[UserId], bool] | None = None,
+    def from_arrays(
+        cls, keys: np.ndarray, offsets: np.ndarray, arena: np.ndarray
     ) -> "CsrFollowerIndex":
-        """Bulk-load S from ``(A, B)`` follow edges (*A follows B*).
+        """Adopt a ``(keys, offsets, arena)`` triple as-is (no copy).
 
-        See :func:`invert_follow_edges` for the argument semantics.
+        The triple is :func:`invert_edge_columns`' output or a
+        :meth:`save_npz` snapshot's contents.
         """
-        return cls(
-            invert_follow_edges(edges, influencer_limit, edge_weight, include_source)
-        )
+        index = cls.__new__(cls)
+        index._adopt(keys, offsets, arena)
+        index.compact_threshold = cls.DEFAULT_COMPACT_THRESHOLD
+        return index
 
     # ------------------------------------------------------------------
     # Arena snapshots (near-instant periodic reloads)
@@ -311,19 +381,11 @@ class CsrFollowerIndex:
         if not path.exists():
             path = _with_npz_suffix(path)
         with np.load(path) as data:
-            keys = data["keys"]
-            offsets = data["offsets"].astype(np.int64, copy=False)
-            arena = data["arena"].astype(np.int64, copy=False)
-        index = cls.__new__(cls)
-        index._arena = arena
-        index._offsets = offsets
-        index._bounds = offsets.tolist()
-        index._rows = {b: i for i, b in enumerate(keys.tolist())}
-        index._pending = {}
-        index._pending_edges = 0
-        index._merged_cache = {}
-        index.compact_threshold = cls.DEFAULT_COMPACT_THRESHOLD
-        return index
+            return cls.from_arrays(
+                data["keys"],
+                data["offsets"].astype(np.int64, copy=False),
+                data["arena"].astype(np.int64, copy=False),
+            )
 
     # ------------------------------------------------------------------
     # Incremental updates (append-and-compact)
@@ -371,20 +433,8 @@ class CsrFollowerIndex:
         """Fold the append overlay back into one contiguous arena."""
         if not self._pending_edges:
             return
-        rows: dict[UserId, Sequence[UserId]] = {}
-        for b, row in self._rows.items():
-            rows[b] = self._merged(b, row)
-        for b in self._pending:
-            if b not in rows:
-                rows[b] = sorted(self._pending[b])
-        keys, offsets, arena = pack_rows(rows)
-        self._arena = arena
-        self._offsets = offsets
-        self._bounds = offsets.tolist()
-        self._rows = {b: i for i, b in enumerate(keys)}
-        self._pending = {}
-        self._pending_edges = 0
-        self._merged_cache = {}
+        rows = {b: self.followers_of(b) for b in self.sources()}
+        self._adopt(*invert_edge_columns(*_row_columns(rows)))
 
     @property
     def pending_edges(self) -> int:

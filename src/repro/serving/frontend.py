@@ -21,7 +21,6 @@ or the sharded wrapper.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import time
 from typing import TYPE_CHECKING
@@ -31,6 +30,8 @@ from repro.util.rng import make_rng
 from repro.util.validation import require_non_negative, require_positive
 
 if TYPE_CHECKING:
+    import asyncio
+
     from repro.serving.cache import ServedRecommendation, ServingCache
     from repro.sim.des import DiscreteEventSimulator
     from repro.sim.metrics import LatencyBreakdown
@@ -103,6 +104,8 @@ class ServingFrontend:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Serve one client until EOF / ``QUIT``."""
+        import asyncio
+
         try:
             while True:
                 line = await reader.readline()
@@ -158,6 +161,8 @@ class ServingFrontend:
         self, host: str = "127.0.0.1", port: int = 0
     ) -> tuple[str, int]:
         """Bind and start serving; returns the bound (host, port)."""
+        import asyncio
+
         self._server = await asyncio.start_server(
             self.handle_connection, host, port
         )

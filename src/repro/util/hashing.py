@@ -1,8 +1,9 @@
 """Shared integer-hashing primitives: splitmix64, scalar and columnar.
 
 The same mix is used everywhere an id needs a uniform 64-bit scramble —
-the waking-hours timezone assignment and the delivery pair tables — so
-the scalar and vectorized call sites are guaranteed to agree bit for bit
+partition ownership, the waking-hours timezone assignment, the delivery
+pair tables and the Bloom filters — so the scalar and vectorized call
+sites are guaranteed to agree bit for bit
 (``uint64`` arithmetic wraps modulo 2**64, exactly the scalar masking).
 """
 

@@ -1,5 +1,6 @@
 """Unit tests for partitioners and the simulated RPC layer."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.partitioner import HashPartitioner, ModuloPartitioner
@@ -36,6 +37,19 @@ class TestPartitioners:
         assert [partitioner.partition_of(a) for a in range(8)] == [
             0, 1, 2, 3, 0, 1, 2, 3,
         ]
+
+    @pytest.mark.parametrize("num_partitions", [1, 2, 4, 20])
+    @pytest.mark.parametrize("cls", [HashPartitioner, ModuloPartitioner])
+    def test_owners_matches_partition_of(self, cls, num_partitions):
+        partitioner = cls(num_partitions)
+        top = 2**63 - 1
+        ids = np.array(
+            list(range(1_000)) + [top - i for i in range(1_000)],
+            dtype=np.int64,
+        )
+        owners = partitioner.owners(ids)
+        assert owners.dtype == np.int64
+        assert owners.tolist() == [partitioner.partition_of(a) for a in ids.tolist()]
 
     @pytest.mark.parametrize("cls", [HashPartitioner, ModuloPartitioner])
     def test_zero_partitions_rejected(self, cls):

@@ -16,6 +16,7 @@ snapshots are a pure replay accelerator, never a semantic input.
 """
 
 import csv
+import glob
 import os
 import random
 import signal
@@ -94,12 +95,13 @@ def _read_rows(path: Path) -> list[tuple]:
         return sorted(tuple(row[:3]) for row in csv.reader(handle))
 
 
-def _run_and_kill(cmd: list[str], root: Path, kill_after_bytes: int) -> None:
+def _run_and_kill(cmd: list[str], root: Path, kill_after_bytes: int) -> int:
     """Run *cmd* in its own process group; SIGKILL it once the WAL grows.
 
     Killing the group takes down worker-hosted partitions together with
     the broker — a whole-machine failure, the case recovery exists for.
-    SIGKILL specifically: no handlers, no flushes, no atexit.
+    SIGKILL specifically: no handlers, no flushes, no atexit.  Returns
+    the killed process's pid.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -117,7 +119,7 @@ def _run_and_kill(cmd: list[str], root: Path, kill_after_bytes: int) -> None:
                 # Finished before the kill landed: recovery must then
                 # reproduce the complete run — still a valid (if easier)
                 # equivalence check.
-                return
+                return proc.pid
             if _wal_bytes(root) >= kill_after_bytes:
                 break
             time.sleep(0.005)
@@ -126,6 +128,7 @@ def _run_and_kill(cmd: list[str], root: Path, kill_after_bytes: int) -> None:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)
         assert proc.returncode == -signal.SIGKILL
+        return proc.pid
     finally:
         if proc.poll() is None:  # pragma: no cover - cleanup on test bugs
             os.killpg(proc.pid, signal.SIGKILL)
@@ -162,7 +165,7 @@ def test_sigkill_recover_equivalence(workload, tmp_path, transport):
         "--wal-throttle",
         "0.004",
     ]
-    _run_and_kill(cmd, root, kill_after)
+    killed_pid = _run_and_kill(cmd, root, kill_after)
     assert _wal_bytes(root) > 0
 
     # Warm-start recovery (snapshot + WAL tail) must match the
@@ -196,6 +199,9 @@ def test_sigkill_recover_equivalence(workload, tmp_path, transport):
     # ...and the two recovered ledgers must be identical row for row:
     # snapshots accelerate replay, they never change its result.
     assert _read_rows(warm) == _read_rows(cold)
+
+    # Recovery reclaimed every shm segment the killed run left behind.
+    assert not glob.glob(f"/dev/shm/repro_shm_{killed_pid}_*")
 
 
 def test_recovered_prefix_is_nonempty_and_bounded(workload, tmp_path):

@@ -1,5 +1,6 @@
 """Unit tests for graph snapshots and the offline S bulk-load path."""
 
+import numpy as np
 import pytest
 
 from repro.graph.ids import Edge, TimestampedEdge
@@ -79,6 +80,6 @@ class TestBuildFollowerSnapshot:
 
     def test_partition_predicate(self):
         snap = GraphSnapshot.from_edges(EDGES)
-        s = build_follower_snapshot(snap, include_source=lambda a: a == 2)
+        s = build_follower_snapshot(snap, sources=np.arange(snap.num_users) == 2)
         assert list(s.followers_of(11)) == [2]
         assert list(s.followers_of(10)) == []

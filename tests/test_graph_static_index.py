@@ -2,6 +2,7 @@
 
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,7 +49,7 @@ class TestConstruction:
 class TestPartitionRestriction:
     def test_include_source_filters_a_side(self):
         evens = StaticFollowerIndex.from_follow_edges(
-            EDGES, include_source=lambda a: a % 2 == 0
+            EDGES, sources=np.arange(4) % 2 == 0
         )
         assert list(evens.followers_of(10)) == [0, 2]
         assert list(evens.followers_of(11)) == [2]
@@ -57,7 +58,7 @@ class TestPartitionRestriction:
         full = StaticFollowerIndex.from_follow_edges(EDGES)
         parts = [
             StaticFollowerIndex.from_follow_edges(
-                EDGES, include_source=lambda a, p=p: a % 2 == p
+                EDGES, sources=np.arange(4) % 2 == p
             )
             for p in range(2)
         ]

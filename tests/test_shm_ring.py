@@ -10,6 +10,8 @@ otherwise surface as a flaky hang.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.cluster.shm import (
     ShmRing,
     TornFrameError,
     live_segment_names,
+    reclaim_dead_segments,
     shm_available,
     sweep_segments,
 )
@@ -138,6 +141,28 @@ class TestRingProtocol:
         assert sweep_segments([name]) == 1
         assert not os.path.exists(f"/dev/shm/{name}")
         assert sweep_segments([name]) == 0  # already gone
+
+    def test_dead_creators_segments_are_reclaimed(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        dead = f"repro_shm_{child.pid}_1_abcdef"
+        live = f"repro_shm_{os.getpid()}_1_abcdef"
+        foreign = "other_segment"
+        for name in (dead, f"{dead}_g2", live, f"{live}_g2", foreign):
+            (tmp_path / name).write_bytes(b"\0" * 64)
+        reclaimed = reclaim_dead_segments(str(tmp_path))
+        assert sorted(reclaimed) == [dead, f"{dead}_g2"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [live, f"{live}_g2", foreign]
+        )
+
+    def test_live_creators_segments_are_never_touched(self):
+        ring = ShmRing.create(slots=2, slot_bytes=64)
+        try:
+            assert ring.name not in reclaim_dead_segments()
+            assert os.path.exists(f"/dev/shm/{ring.name}")
+        finally:
+            ring.close()
 
 
 class TestFrameCodec:
